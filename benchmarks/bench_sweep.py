@@ -18,12 +18,10 @@ cell of the already-executed sweep, so the ``obs.causal.annotate`` /
 execution spans they would tax.
 """
 
-from repro.obs.artifacts import RunDir, identity_for_requests
 from repro.obs.causal import annotate
 from repro.obs.critical import critical_paths, verify_round_paths
-from repro.obs.progress import ProgressReporter
 from repro.obs.report import summarize_sweep, summary_problems
-from repro.runtime import ResultCache, SweepRunner, oracle_sweep_space
+from repro.runtime import Campaign, SweepRunner, oracle_sweep_space
 
 
 def bench_sweep_serial_cold(once):
@@ -75,37 +73,24 @@ def bench_sweep_causal_analysis(once):
 
 def bench_sweep_with_run_dir(once, tmp_path):
     space = oracle_sweep_space(count=5)
-    requests = space.requests
 
     def instrumented_sweep():
-        run = RunDir.open(
-            tmp_path / "runs",
-            kind="sweep",
-            name=space.name,
-            identity=identity_for_requests(requests),
-            cells=[(r.name, r.cache_key()) for r in requests],
+        campaign = Campaign.open(
+            tmp_path / "runs", kind="sweep", name=space.name, requests=space.requests
         )
-        reporter = ProgressReporter(
-            total=len(requests), path=run.progress_path, interval_s=60.0
-        ).start()
-
-        def on_cell(request, result):
-            profile = result.extra.get("profile") or {}
-            run.record_cell(
-                name=request.name,
-                key=result.request_key,
-                cached=result.cached,
-                engine=request.engine,
-                duration_s=profile.get("duration_s"),
+        with campaign:
+            sweep = SweepRunner(
+                jobs=1, cache=campaign.cache, on_cell=campaign.on_cell
+            ).run(space)
+            campaign.finish(
+                lambda run: summarize_sweep(
+                    run,
+                    sweep,
+                    completed_before=campaign.completed_before,
+                    keys=campaign.keys,
+                )
             )
-            reporter.advance(cached=result.cached)
-
-        sweep = SweepRunner(
-            jobs=1, cache=ResultCache(run.results_dir), on_cell=on_cell
-        ).run(space)
-        run.finalize(summarize_sweep(run, sweep, completed_before=set()))
-        reporter.stop()
-        return run, sweep
+        return campaign.run_dir, sweep
 
     run, sweep = once(instrumented_sweep)
     assert sweep.executed == sweep.total

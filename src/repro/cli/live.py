@@ -27,12 +27,12 @@ from repro.live import (
 )
 from repro.live.cluster import LIVE_ALGORITHMS
 from repro.obs import Profiler, get_profiler, set_profiler
-from repro.obs.artifacts import DEFAULT_LIVE_SLO, RunDir
+from repro.obs.artifacts import DEFAULT_LIVE_SLO
 from repro.obs.check import check_events
 from repro.obs.events import EventLog, logical_clock
 from repro.obs.profile import profiled
-from repro.obs.progress import ProgressReporter
 from repro.obs.report import summarize_live
+from repro.runtime.campaign import Campaign
 
 
 def _parse_values(args: argparse.Namespace) -> tuple[int, ...]:
@@ -87,80 +87,56 @@ def _cmd_live(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    run_dir = None
-    reporter = None
-    on_session_done = None
-    if args.run_dir is not None:
-        # Live runs are wall-clock: the identity is the configuration,
-        # not result hashes — re-invoking the same config re-attaches
-        # to the same run directory as a new leg.
-        identity = {
-            "algorithm": config.algorithm,
-            "values": list(config.values),
-            "profile": config.profile.name,
-            "t": config.t,
-            "detector": [config.detector.kind, config.detector.interval_s,
-                         config.detector.miss_threshold, config.detector.backoff],
-            "crash_at": [list(crash) for crash in config.crash_at],
-            "max_rounds": config.max_rounds,
-            "seed": config.seed,
-            "sessions": config.sessions,
-        }
-        run_dir = RunDir.open(
-            args.run_dir,
-            kind="live",
-            name=f"live-{config.profile.name}-{config.algorithm}",
-            identity=identity,
-            cells=[
-                (f"session-{i}", f"session-{i}")
-                for i in range(config.sessions)
-            ],
-            config=identity,
-            slo=DEFAULT_LIVE_SLO,
-        )
-        reporter = ProgressReporter(
-            total=config.sessions,
-            path=run_dir.progress_path,
-            stream=sys.stderr,
-            label=f"live-{config.profile.name}",
-        ).start()
+    # Live runs are wall-clock: the identity is the configuration, not
+    # result hashes — re-invoking the same config re-attaches to the
+    # same run directory as a new leg.  The cells are the sessions.
+    identity = {
+        "algorithm": config.algorithm,
+        "values": list(config.values),
+        "profile": config.profile.name,
+        "t": config.t,
+        "detector": [config.detector.kind, config.detector.interval_s,
+                     config.detector.miss_threshold, config.detector.backoff],
+        "crash_at": [list(crash) for crash in config.crash_at],
+        "max_rounds": config.max_rounds,
+        "seed": config.seed,
+        "sessions": config.sessions,
+    }
+    campaign = Campaign.open(
+        args.run_dir,
+        kind="live",
+        name=f"live-{config.profile.name}-{config.algorithm}",
+        cells=[(f"session-{i}", f"session-{i}") for i in range(config.sessions)],
+        identity=identity,
+        config=identity,
+        slo=DEFAULT_LIVE_SLO,
+        stream=sys.stderr,
+        label=f"live-{config.profile.name}",
+    )
 
-        def on_session_done(session: int, wall_s: float, complete: bool) -> None:
-            run_dir.record_cell(
-                name=f"session-{session}",
-                key=f"session-{session}",
-                cached=False,
-                engine="live",
-                algorithm=config.algorithm,
-                latency=None,
-                num_rounds=None,
-                events=0,
-                duration_s=wall_s,
-                ok=complete,
-            )
-            reporter.advance(
-                verdict="complete" if complete else "incomplete"
-            )
+    def on_session_done(session: int, wall_s: float, complete: bool) -> None:
+        campaign.log_cell(
+            f"session-{session}",
+            f"session-{session}",
+            engine="live",
+            algorithm=config.algorithm,
+            events=0,
+            duration_s=wall_s,
+            ok=complete,
+            verdict="complete" if complete else "incomplete",
+        )
 
     own_profiler = get_profiler() is None
     if own_profiler:
         set_profiler(Profiler())
     try:
-        with profiled(f"live.cli.{config.profile.name}.{config.algorithm}"):
+        with campaign, profiled(
+            f"live.cli.{config.profile.name}.{config.algorithm}"
+        ):
             run = LiveCluster(config, on_session_done=on_session_done).run()
     except ExecutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if run_dir is not None:
-            run_dir.mark_interrupted()
-        if reporter is not None:
-            reporter.stop(status="interrupted")
         return 2
-    except BaseException:
-        if run_dir is not None:
-            run_dir.mark_interrupted()
-        if reporter is not None:
-            reporter.stop(status="interrupted")
-        raise
     finally:
         profiler = get_profiler()
         if own_profiler:
@@ -209,7 +185,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     exit_code = 0
     oracle_failed = None
     log = None
-    if args.check or args.jsonl or run_dir is not None:
+    if args.check or args.jsonl or campaign.run_dir is not None:
         log = EventLog(clock=logical_clock())
         run.replay_into(log)
         if args.jsonl:
@@ -226,8 +202,8 @@ def _cmd_live(args: argparse.Namespace) -> int:
             if not report.ok:
                 exit_code = 1
 
-    if run_dir is not None:
-        summary = summarize_live(
+    summary = campaign.finish(
+        lambda run_dir: summarize_live(
             run_dir,
             stats,
             session_latencies_ms=run.session_latencies_ms(),
@@ -236,10 +212,10 @@ def _cmd_live(args: argparse.Namespace) -> int:
             extra_spans=profiler.snapshot() if profiler is not None else None,
             events=log.events if log is not None else None,
         )
-        run_dir.finalize(summary)
-        reporter.stop()
+    )
+    if summary is not None:
         print(
-            f"run artifacts: {run_dir.path} (inspect with `repro report`)"
+            f"run artifacts: {campaign.run_dir.path} (inspect with `repro report`)"
         )
         if any(not v.get("ok") for v in summary.get("slo_verdicts", ())):
             exit_code = exit_code or 1

@@ -25,7 +25,6 @@ import sys
 import time
 
 from repro.errors import ConfigurationError
-from repro.obs.progress import ProgressReporter
 from repro.runtime import SPACE_FACTORIES, space_by_name
 from repro.runtime.space import ScenarioSpace, vectorized_space
 from repro.serve.coordinator import Coordinator
@@ -72,17 +71,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shard_size=args.shard_size,
         lease_ttl=args.lease_ttl,
         check=args.check,
+        progress_stream=sys.stderr,
     )
-    reporter = ProgressReporter(
-        total=len(space.requests),
-        path=coordinator.run_dir.progress_path,
-        stream=sys.stderr,
-        label=f"serve:{space.name}",
-    ).start()
-    for _ in range(len(coordinator.completed_before)):
-        reporter.advance(cached=True)
-    coordinator.on_cell = lambda name, cached: reporter.advance(cached=cached)
-
     server = CoordinatorServer(
         coordinator, host=args.host, port=args.port
     ).start()
@@ -103,19 +93,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"run artifacts: {coordinator.run_dir.path}", file=sys.stderr)
 
     try:
-        while not coordinator.is_complete():
-            time.sleep(0.2)
-        result, _summary = coordinator.finalize()
+        with coordinator.campaign:
+            while not coordinator.is_complete():
+                time.sleep(0.2)
+            result, _summary = coordinator.finalize()
     except BaseException:
-        coordinator.mark_interrupted()
-        reporter.stop(status="interrupted")
         server.shutdown()
         raise
     # Grace period: workers that were mid-claim when the last shard
     # merged still get their clean {"done": true} answer.
     time.sleep(args.linger_s)
     server.shutdown()
-    reporter.stop()
     print(result.describe())
     print(f"run artifacts: {coordinator.run_dir.path} (inspect with `repro report`)")
     if args.jsonl:

@@ -17,10 +17,9 @@ import argparse
 import sys
 
 from repro.errors import ConfigurationError
-from repro.obs.artifacts import RunDir, identity_for_requests
-from repro.obs.progress import ProgressReporter
 from repro.obs.report import summarize_sweep
-from repro.runtime import ResultCache, SPACE_FACTORIES, SweepRunner, space_by_name
+from repro.runtime import SPACE_FACTORIES, SweepRunner, space_by_name
+from repro.runtime.campaign import Campaign
 from repro.runtime.space import vectorized_space
 from repro.vector import backend_name
 
@@ -46,72 +45,38 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         space = vectorized_space(space)
         print(f"vector engine: {backend_name()} backend")
 
-    run_dir = None
-    reporter = None
-    completed_before: set[str] = set()
-    on_cell = None
-    cache = args.cache_dir
-    if args.run_dir is not None:
-        requests = list(space.requests)
-        run_dir = RunDir.open(
-            args.run_dir,
-            kind="sweep",
-            name=space.name,
-            identity=identity_for_requests(requests),
-            cells=[(r.name, r.cache_key()) for r in requests],
-            config={
-                "space": args.space,
-                "count": args.count,
-                "seed": args.seed,
-                "check": bool(args.check),
-                "engine": args.engine,
-            },
-        )
-        completed_before = run_dir.completed_keys()
-        cache = ResultCache(run_dir.results_dir)
-        reporter = ProgressReporter(
-            total=len(requests),
-            path=run_dir.progress_path,
-            stream=sys.stderr,
-            label=space.name,
-        ).start()
-
-        def on_cell(request, result) -> None:
-            profile = result.extra.get("profile") or {}
-            run_dir.record_cell(
-                name=request.name,
-                key=result.request_key,
-                cached=result.cached,
-                engine=request.engine,
-                algorithm=request.algorithm,
-                latency=result.latency,
-                num_rounds=result.num_rounds,
-                events=len(result.events),
-                duration_s=profile.get("duration_s"),
-            )
-            reporter.advance(cached=result.cached)
-
-    runner = SweepRunner(
-        jobs=args.jobs, cache=cache, check=args.check, on_cell=on_cell
+    campaign = Campaign.open(
+        args.run_dir,
+        kind="sweep",
+        name=space.name,
+        requests=space.requests,
+        config={
+            "space": args.space,
+            "count": args.count,
+            "seed": args.seed,
+            "check": bool(args.check),
+            "engine": args.engine,
+        },
+        cache_dir=args.cache_dir,
+        stream=sys.stderr,
     )
-    try:
+    runner = SweepRunner(
+        jobs=args.jobs, cache=campaign.cache, check=args.check, on_cell=campaign.on_cell
+    )
+    with campaign:
         result = runner.run(space)
-    except BaseException:
-        if run_dir is not None:
-            run_dir.mark_interrupted()
-        if reporter is not None:
-            reporter.stop(status="interrupted")
-        raise
-    if run_dir is not None:
-        summary = summarize_sweep(
-            run_dir, result, completed_before=completed_before
+        campaign.finish(
+            lambda run: summarize_sweep(
+                run,
+                result,
+                completed_before=campaign.completed_before,
+                keys=campaign.keys,
+            )
         )
-        run_dir.finalize(summary)
-        reporter.stop()
     print(result.describe())
-    if run_dir is not None:
+    if campaign.run_dir is not None:
         print(
-            f"run artifacts: {run_dir.path} (inspect with `repro report`)"
+            f"run artifacts: {campaign.run_dir.path} (inspect with `repro report`)"
         )
     if args.jsonl:
         count = result.write_merged_jsonl(args.jsonl)

@@ -47,11 +47,9 @@ from repro.mc.space import (
     lambda_space,
 )
 from repro.mc.verdict import Verdict, witness_document
-from repro.obs.artifacts import RunDir, identity_for_requests
-from repro.obs.progress import ProgressReporter
-from repro.runtime.cache import ResultCache
+from repro.runtime.campaign import Campaign
 from repro.runtime.harness import execute_request
-from repro.runtime.request import ExecutionRequest, ExecutionResult
+from repro.runtime.request import ExecutionRequest
 from repro.runtime.space import ScenarioSpace
 from repro.runtime.sweep import SweepResult, SweepRunner
 
@@ -253,63 +251,14 @@ def _witnesses(
     return documents, requests
 
 
-def check(task: McTask, *, progress_stream: Any = None) -> McOutcome:
-    """Run one checking task end to end; see the module docstring."""
-    task.validate()
-    space, exploration, scope = _plan(task)
-
-    run_dir: RunDir | None = None
-    reporter: ProgressReporter | None = None
-    on_cell = None
-    cache: ResultCache | None = None
-    if task.run_root is not None:
-        run_dir = RunDir.open(
-            task.run_root,
-            kind="sweep",
-            name=space.name,
-            identity=identity_for_requests(space.requests),
-            cells=[(r.name, r.cache_key()) for r in space.requests],
-            config={
-                "space": space.name,
-                "mode": "mc",
-                "property": task.property_name,
-            },
-        )
-        cache = ResultCache(run_dir.results_dir)
-        reporter = ProgressReporter(
-            total=len(space.requests),
-            path=run_dir.progress_path,
-            stream=progress_stream,
-            label=f"mc:{task.property_name}",
-        ).start()
-
-        def on_cell(request: ExecutionRequest, result: ExecutionResult) -> None:
-            profile = result.extra.get("profile") or {}
-            run_dir.record_cell(
-                name=request.name,
-                key=result.request_key,
-                cached=result.cached,
-                engine=request.engine,
-                algorithm=request.algorithm,
-                latency=result.latency,
-                num_rounds=result.num_rounds,
-                events=len(result.events),
-                duration_s=profile.get("duration_s"),
-            )
-            reporter.advance(cached=result.cached)
-
-    runner = SweepRunner(
-        jobs=task.jobs, cache=cache, check=False, on_cell=on_cell
-    )
-    try:
-        sweep = runner.run(space)
-    except BaseException:
-        if run_dir is not None:
-            run_dir.mark_interrupted()
-        if reporter is not None:
-            reporter.stop(status="interrupted")
-        raise
-
+def _judge(
+    task: McTask,
+    space: ScenarioSpace,
+    exploration: Exploration | None,
+    scope: str,
+    sweep: SweepResult,
+) -> tuple[Verdict, list[ExecutionRequest]]:
+    """The verdict over the executed frontier, plus replayable witnesses."""
     pairs = list(zip(space.requests, sweep.results))
     divergences = _prediction_divergences(exploration, space, sweep)
     bound = task.bound
@@ -367,10 +316,35 @@ def check(task: McTask, *, progress_stream: Any = None) -> McOutcome:
         problems=problems,
         witnesses=documents,
     )
+    return verdict, witness_requests
 
-    if run_dir is not None:
-        run_dir.finalize(
-            {
+
+def check(task: McTask, *, progress_stream: Any = None) -> McOutcome:
+    """Run one checking task end to end; see the module docstring."""
+    task.validate()
+    space, exploration, scope = _plan(task)
+
+    campaign = Campaign.open(
+        task.run_root,
+        kind="sweep",
+        name=space.name,
+        requests=space.requests,
+        config={
+            "space": space.name,
+            "mode": "mc",
+            "property": task.property_name,
+        },
+        stream=progress_stream,
+        label=f"mc:{task.property_name}",
+    )
+    runner = SweepRunner(
+        jobs=task.jobs, cache=campaign.cache, check=False, on_cell=campaign.on_cell
+    )
+    with campaign:
+        sweep = runner.run(space)
+        verdict, witness_requests = _judge(task, space, exploration, scope, sweep)
+        campaign.finish(
+            lambda run: {
                 "mc": verdict.to_dict(),
                 "cells": {
                     "total": sweep.total,
@@ -379,13 +353,14 @@ def check(task: McTask, *, progress_stream: Any = None) -> McOutcome:
                 },
             }
         )
-        reporter.stop()
 
     return McOutcome(
         task=task,
         verdict=verdict,
         sweep=sweep,
         exploration=exploration,
-        run_dir=str(run_dir.path) if run_dir is not None else None,
+        run_dir=(
+            str(campaign.run_dir.path) if campaign.run_dir is not None else None
+        ),
         witness_requests=witness_requests,
     )

@@ -53,7 +53,6 @@ from repro.obs.artifacts import (
     compute_run_id,
     evaluate_slos,
     git_provenance,
-    identity_for_requests,
 )
 from repro.obs.causal import (
     CausalEdge,
@@ -151,7 +150,6 @@ __all__ = [
     "compute_run_id",
     "evaluate_slos",
     "git_provenance",
-    "identity_for_requests",
     "ProgressReporter",
     "latest_progress",
     "causal_cells",

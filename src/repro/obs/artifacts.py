@@ -1,4 +1,5 @@
-"""Content-addressed run artifacts for sweep, fuzz, and live campaigns.
+"""Content-addressed run artifacts for every campaign (sweep, fuzz, mc,
+serve, live); :class:`repro.runtime.campaign.Campaign` drives them.
 
 A long campaign is only as credible as its paper trail.  This module
 gives every campaign a *run directory* — ``runs/<run_id>/`` — whose
@@ -35,7 +36,7 @@ import json
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.inject import active_injection
 
@@ -363,11 +364,6 @@ class RunDir:
         }
         self._append_jsonl(METRICS_NAME, record)
 
-    def record_line(self, record: Mapping[str, Any]) -> None:
-        """Append an arbitrary record to ``metrics.jsonl`` (live sessions,
-        span rollups — anything worth auditing that is not a cell)."""
-        self._append_jsonl(METRICS_NAME, dict(record))
-
     def metrics_records(self) -> list[dict[str, Any]]:
         return self._read_jsonl(METRICS_NAME)
 
@@ -439,13 +435,3 @@ class RunDir:
                 continue  # a torn write from a killed leg is not news
         return records
 
-
-def identity_for_requests(requests: Iterable[Any]) -> list[str]:
-    """The campaign identity of a request-based run: sorted cache keys.
-
-    Cache keys already hash the engine semantics version and any active
-    bug injection, so campaigns under a mutated engine get their own
-    run directory — mirroring how :class:`~repro.runtime.cache.ResultCache`
-    keeps mutated results apart.
-    """
-    return sorted(request.cache_key() for request in requests)

@@ -165,11 +165,13 @@ def summarize_sweep(
     sweep_result: Any,
     *,
     completed_before: set[str],
+    keys: Sequence[str],
     extra_spans: Mapping[str, Mapping[str, Any]] | None = None,
     slo: SLOConfig | None = None,
 ) -> dict[str, Any]:
     """The ``summary.json`` document of one sweep (or fuzz-sweep) leg.
 
+    ``keys`` are the requests' cache keys, in space order.
     ``completed_before`` are the request keys already on disk when this
     leg started; intersecting them with the keys this leg *executed*
     (rather than served from cache) yields ``re_executed`` — the
@@ -177,7 +179,6 @@ def summarize_sweep(
     """
     requests = list(sweep_result.requests)
     results = list(sweep_result.results)
-    keys = [request.cache_key() for request in requests]
     executed_keys = {
         key
         for key, result in zip(keys, results)
@@ -349,6 +350,7 @@ def summarize_fuzz(
     sweep_result: Any,
     *,
     completed_before: set[str],
+    keys: Sequence[str],
     extra_spans: Mapping[str, Mapping[str, Any]] | None = None,
     slo: SLOConfig | None = None,
 ) -> dict[str, Any]:
@@ -357,6 +359,7 @@ def summarize_fuzz(
         run,
         sweep_result,
         completed_before=completed_before,
+        keys=keys,
         extra_spans=extra_spans,
         slo=slo,
     )

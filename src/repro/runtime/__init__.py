@@ -21,7 +21,10 @@ plumbing with a single interface:
   derived per-cell seeds);
 * :class:`SweepRunner` — serial or ``multiprocessing`` execution with
   byte-identical merged traces, order-independent metric aggregation,
-  an on-disk :class:`ResultCache`, and optional trace-oracle checking.
+  an on-disk :class:`ResultCache`, and optional trace-oracle checking;
+* :class:`Campaign` — the single lifecycle (run directory, heartbeats,
+  interruption, summary) of ``repro sweep``, ``fuzz``, ``mc``,
+  ``serve`` and ``live``.
 
 This is the architectural seam future scaling work (sharding, async
 backends, distributed workers) plugs into: a new backend implements
@@ -30,6 +33,7 @@ checking for free.
 """
 
 from repro.runtime.cache import CacheStats, ResultCache
+from repro.runtime.campaign import Campaign
 from repro.runtime.harness import (
     HARNESSES,
     Harness,
@@ -76,6 +80,7 @@ __all__ = [
     "ALGORITHM_FACTORIES",
     "CACHE_SCHEMA_VERSION",
     "CacheStats",
+    "Campaign",
     "CellCheck",
     "ENGINES",
     "ExecutionRequest",

@@ -118,8 +118,4 @@ class ResultCache:
         }
 
     def __len__(self) -> int:
-        return sum(
-            1
-            for entry in self.directory.glob("*.json")
-            if not entry.name.startswith(".tmp-")
-        )
+        return len(self.completed_keys())

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -87,8 +88,8 @@ class ScenarioSpace:
     requests: tuple[ExecutionRequest, ...]
 
     def __post_init__(self) -> None:
-        names = [request.name for request in self.requests]
-        duplicates = {n for n in names if names.count(n) > 1}
+        counts = Counter(request.name for request in self.requests)
+        duplicates = [name for name, count in counts.items() if count > 1]
         if duplicates:
             raise ConfigurationError(
                 f"space {self.name!r} has duplicate cell names: "

@@ -36,14 +36,9 @@ import uuid
 from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigurationError
-from repro.obs.artifacts import RunDir
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.cache import ResultCache
-from repro.runtime.request import (
-    ExecutionRequest,
-    ExecutionResult,
-    batch_cache_keys,
-)
+from repro.runtime.campaign import Campaign
+from repro.runtime.request import ExecutionRequest, ExecutionResult
 from repro.runtime.space import ScenarioSpace
 from repro.runtime.sweep import SweepResult, check_cell
 from repro.serve.shards import (
@@ -79,8 +74,8 @@ class Coordinator:
         lease_ttl: Seconds before an unsubmitted lease is re-queued.
         check: Run the trace oracle over every cell at finalize.
         clock: Monotonic time source (injectable for lease tests).
-        on_cell: Optional ``(cell_name, cached)`` callback fired once
-            per merged cell — the progress-reporter seam.
+        progress_stream: Where to mirror the campaign's heartbeats
+            (the CLI passes stderr).
     """
 
     def __init__(
@@ -92,11 +87,22 @@ class Coordinator:
         lease_ttl: float = DEFAULT_LEASE_TTL,
         check: bool = False,
         clock: Callable[[], float] = time.monotonic,
-        on_cell: Callable[[str, bool], None] | None = None,
+        progress_stream: Any = None,
     ) -> None:
         self.space = space
         self.requests: list[ExecutionRequest] = list(space.requests)
-        self.keys: list[str] = batch_cache_keys(self.requests)
+        self.campaign = Campaign.open(
+            run_root,
+            kind="sweep",
+            name=space.name,
+            requests=self.requests,
+            config={"space": space.name, "mode": "serve", "check": check},
+            stream=progress_stream,
+            label=f"serve:{space.name}",
+        )
+        self.run_dir = self.campaign.run_dir
+        self.cache = self.campaign.cache
+        self.keys: list[str] = self.campaign.keys
         if len(set(self.keys)) != len(self.keys):
             raise ConfigurationError(
                 f"space {space.name!r} has colliding request cache keys; "
@@ -106,22 +112,12 @@ class Coordinator:
         self.lease_ttl = float(lease_ttl)
         self.check = check
         self.clock = clock
-        self.on_cell = on_cell
         self._lock = threading.RLock()
 
-        self.run_dir = RunDir.open(
-            run_root,
-            kind="sweep",
-            name=space.name,
-            identity=sorted(self.keys),
-            cells=[(r.name, k) for r, k in zip(self.requests, self.keys)],
-            config={"space": space.name, "mode": "serve", "check": check},
-        )
-        self.cache = ResultCache(self.run_dir.results_dir)
-
-        on_disk = self.run_dir.completed_keys()
         #: Planned keys already completed when this leg started.
-        self.completed_before: set[str] = set(self.keys) & on_disk
+        self.completed_before: set[str] = (
+            set(self.keys) & self.campaign.completed_before
+        )
         #: Every planned key with a result on disk (grows as legs merge).
         self.merged: set[str] = set(self.completed_before)
         #: Keys whose results this leg stored (the leg's "executed").
@@ -146,15 +142,13 @@ class Coordinator:
         # Audit the resumed cells like a cache-warm sweep leg would.
         for request, key in zip(self.requests, self.keys):
             if key in self.completed_before:
-                self.run_dir.record_cell(
-                    name=request.name,
-                    key=key,
+                self.campaign.log_cell(
+                    request.name,
+                    key,
                     cached=True,
                     engine=request.engine,
                     algorithm=request.algorithm,
                 )
-                if self.on_cell is not None:
-                    self.on_cell(request.name, True)
 
     # -- lease side (worker-facing) ------------------------------------------
 
@@ -263,20 +257,7 @@ class Coordinator:
                 self.cache.put(self.requests[index], result)
                 self.merged.add(key)
                 self.stored_this_leg.add(key)
-                profile = result.extra.get("profile") or {}
-                self.run_dir.record_cell(
-                    name=result.name,
-                    key=key,
-                    cached=False,
-                    engine=self.requests[index].engine,
-                    algorithm=self.requests[index].algorithm,
-                    latency=result.latency,
-                    num_rounds=result.num_rounds,
-                    events=len(result.events),
-                    duration_s=profile.get("duration_s"),
-                )
-                if self.on_cell is not None:
-                    self.on_cell(result.name, False)
+                self.campaign.on_cell(self.requests[index], result)
                 accepted += 1
             stats = self.workers.setdefault(
                 worker_id, {"claims": 0, "cells_merged": 0}
@@ -449,18 +430,16 @@ class Coordinator:
                     "cells still missing"
                 )
             sweep_result = self.build_sweep_result()
-            summary = summarize_sweep(
-                self.run_dir,
-                sweep_result,
-                completed_before=self.completed_before,
+            self._finalized = self.campaign.finish(
+                lambda run: summarize_sweep(
+                    run,
+                    sweep_result,
+                    completed_before=self.completed_before,
+                    keys=self.keys,
+                )
+                | {"serve": self.serve_stats()}
             )
-            summary["serve"] = self.serve_stats()
-            self.run_dir.finalize(summary)
-            self._finalized = summary
-            return sweep_result, summary
-
-    def mark_interrupted(self) -> None:
-        self.run_dir.mark_interrupted()
+            return sweep_result, self._finalized
 
     def summary_document(self) -> dict[str, Any]:
         """The finalized summary, or an ``in_progress`` status stub."""

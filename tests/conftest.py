@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.consensus import (
     A1,
@@ -15,6 +17,11 @@ from repro.consensus import (
     FOptFloodSet,
     FOptFloodSetWS,
 )
+
+#: ``HYPOTHESIS_PROFILE=ci`` makes every property test deterministic and
+#: independent of any local example database (CI selects it).
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ from repro.obs.artifacts import (
     SLOConfig,
     compute_run_id,
     evaluate_slos,
-    identity_for_requests,
 )
 from repro.obs.progress import ProgressReporter, latest_progress
 from repro.obs.report import (
@@ -37,6 +36,7 @@ from repro.obs.report import (
     summary_problems,
 )
 from repro.runtime import (
+    Campaign,
     ResultCache,
     ScenarioSpace,
     SweepRunner,
@@ -50,36 +50,30 @@ def _space(count=6):
     return ScenarioSpace.explicit("artifact-test", space.requests[:count])
 
 
-def _open_run(tmp_path, requests, **overrides):
-    options = dict(
+def _campaign(tmp_path, requests):
+    """A sweep campaign over ``requests`` (heartbeats start on ``with``)."""
+    return Campaign.open(
+        tmp_path / "runs",
         kind="sweep",
         name="artifact-test",
-        identity=identity_for_requests(requests),
-        cells=[(r.name, r.cache_key()) for r in requests],
+        requests=requests,
         config={"space": "artifact-test"},
     )
-    options.update(overrides)
-    return RunDir.open(tmp_path / "runs", **options)
 
 
-def _on_cell_for(run_dir, reporter=None):
-    def on_cell(request, result):
-        profile = result.extra.get("profile") or {}
-        run_dir.record_cell(
-            name=request.name,
-            key=result.request_key,
-            cached=result.cached,
-            engine=request.engine,
-            algorithm=request.algorithm,
-            latency=result.latency,
-            num_rounds=result.num_rounds,
-            events=len(result.events),
-            duration_s=profile.get("duration_s"),
+def _open_run(tmp_path, requests):
+    return _campaign(tmp_path, requests).run_dir
+
+
+def _finish_sweep(campaign, sweep):
+    return campaign.finish(
+        lambda run: summarize_sweep(
+            run,
+            sweep,
+            completed_before=campaign.completed_before,
+            keys=campaign.keys,
         )
-        if reporter is not None:
-            reporter.advance(cached=result.cached)
-
-    return on_cell
+    )
 
 
 class TestRunId:
@@ -92,11 +86,12 @@ class TestRunId:
         )
         assert compute_run_id("sweep", ["a"]) != compute_run_id("fuzz", ["a"])
 
-    def test_identity_ignores_request_order(self):
+    def test_identity_ignores_request_order(self, tmp_path):
         space = _space(4)
-        forward = identity_for_requests(space.requests)
-        backward = identity_for_requests(list(reversed(space.requests)))
-        assert forward == backward
+        forward = _open_run(tmp_path, space.requests)
+        backward = _open_run(tmp_path, list(reversed(space.requests)))
+        assert forward.run_id == backward.run_id
+        assert backward.manifest["legs"] == 2
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -342,42 +337,40 @@ class TestResumeFromManifest:
         reference_lines = list(reference.merged_jsonl_lines())
 
         # Leg 1: die after 3 cells, mid-campaign.
-        run = _open_run(tmp_path, requests)
-        cache = ResultCache(run.results_dir)
+        campaign = _campaign(tmp_path, requests)
         seen = []
 
         def dying_on_cell(request, result):
-            _on_cell_for(run)(request, result)
+            campaign.on_cell(request, result)
             seen.append(result.request_key)
             if len(seen) == 3:
                 raise KeyboardInterrupt
 
-        runner = SweepRunner(cache=cache, on_cell=dying_on_cell)
-        with pytest.raises(KeyboardInterrupt):
+        runner = SweepRunner(cache=campaign.cache, on_cell=dying_on_cell)
+        with pytest.raises(KeyboardInterrupt), campaign:
             runner.run(space)
-        run.mark_interrupted()
+        run = campaign.run_dir
         assert run.manifest["status"] == "interrupted"
         completed_mid = run.completed_keys()
         assert len(completed_mid) == 3
 
         # Leg 2: same campaign, fresh invocation against the same root.
-        resumed = _open_run(tmp_path, requests)
-        assert resumed.path == run.path
-        assert resumed.manifest["legs"] == 2
-        completed_before = resumed.completed_keys()
-        cache2 = ResultCache(resumed.results_dir)
+        resumed = _campaign(tmp_path, requests)
+        assert resumed.run_dir.path == run.path
+        assert resumed.run_dir.manifest["legs"] == 2
+        completed_before = resumed.completed_before
         executed_keys = []
 
         def tracking_on_cell(request, result):
-            _on_cell_for(resumed)(request, result)
+            resumed.on_cell(request, result)
             if not result.cached:
                 executed_keys.append(result.request_key)
 
-        sweep = SweepRunner(cache=cache2, on_cell=tracking_on_cell).run(space)
-        summary = summarize_sweep(
-            resumed, sweep, completed_before=completed_before
-        )
-        resumed.finalize(summary)
+        with resumed:
+            sweep = SweepRunner(
+                cache=resumed.cache, on_cell=tracking_on_cell
+            ).run(space)
+            summary = _finish_sweep(resumed, sweep)
 
         # Zero re-execution, proven by the summary's own counters.
         assert summary["resume"]["completed_before"] == 3
@@ -417,14 +410,94 @@ class TestResumeFromManifest:
         assert rerun.manifest["legs"] == 2
 
 
+def _sweep_leg(root):
+    from repro.cli.main import main
+
+    run_dir = ["--run-dir", root] if root is not None else []
+    assert main(["sweep", "oracle-sweep", "--count", "2", *run_dir]) == 0
+
+
+def _fuzz_leg(root):
+    run_campaign(budget=6, seed=3, run_root=root, shrink_failures=False)
+
+
+def _mc_leg(root):
+    from repro.mc.checker import McTask, check
+
+    check(McTask(property_name="agreement", algorithm="floodset", run_root=root))
+
+
+#: One leg of each campaign kind that runs through ``SweepRunner``.
+CAMPAIGN_LEGS = {"sweep": _sweep_leg, "fuzz": _fuzz_leg, "mc": _mc_leg}
+
+
+class TestCampaignLifecycle:
+    """The lifecycle every campaign shares, tested once per client."""
+
+    @pytest.mark.parametrize("kind", sorted(CAMPAIGN_LEGS))
+    def test_exception_in_a_cell_interrupts_then_resumes(
+        self, kind, tmp_path, monkeypatch
+    ):
+        import repro.runtime.sweep as sweep_module
+
+        root = str(tmp_path / "runs")
+        real_chunk = sweep_module._execute_chunk
+        executed = []
+
+        def dying_chunk(requests):
+            if len(executed) == 3:
+                raise RuntimeError("killed mid-campaign")
+            executed.extend(requests)
+            return real_chunk(requests)
+
+        monkeypatch.setattr(sweep_module, "_execute_chunk", dying_chunk)
+        with pytest.raises(RuntimeError, match="killed mid-campaign"):
+            CAMPAIGN_LEGS[kind](root)
+        run = RunDir.load(find_run_dir(root))
+        assert run.manifest["status"] == "interrupted"
+        assert latest_progress(run.progress_records())["status"] == "interrupted"
+        assert len(run.completed_keys()) == 3
+
+        monkeypatch.setattr(sweep_module, "_execute_chunk", real_chunk)
+        CAMPAIGN_LEGS[kind](root)
+        run = RunDir.load(run.path)
+        assert run.manifest["status"] == "complete"
+        assert run.manifest["legs"] == 2
+        assert latest_progress(run.progress_records())["status"] == "complete"
+        if kind != "mc":
+            resume = run.summary()["resume"]
+            assert resume["completed_before"] == 3
+            assert resume["re_executed"] == 0
+
+    def test_without_a_run_root_nothing_touches_the_disk(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        space = _space(3)
+        campaign = Campaign.open(
+            None, kind="sweep", name="inert", requests=space.requests
+        )
+        assert campaign.cache is None
+        assert campaign.on_cell is None and campaign.record is None
+        with campaign:
+            SweepRunner(cache=campaign.cache).run(space)
+            campaign.log_cell("cell", "key")
+            assert campaign.finish(lambda run: pytest.fail("no run")) is None
+        for leg in CAMPAIGN_LEGS.values():
+            leg(None)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRendering:
     def _finished_run(self, tmp_path):
         space = _space(4)
-        run = _open_run(tmp_path, space.requests)
-        cache = ResultCache(run.results_dir)
-        sweep = SweepRunner(cache=cache, on_cell=_on_cell_for(run)).run(space)
-        run.finalize(summarize_sweep(run, sweep, completed_before=set()))
-        return run
+        campaign = _campaign(tmp_path, space.requests)
+        with campaign:
+            sweep = SweepRunner(
+                cache=campaign.cache, on_cell=campaign.on_cell
+            ).run(space)
+            _finish_sweep(campaign, sweep)
+        return campaign.run_dir
 
     def test_render_report_covers_the_dashboard(self, tmp_path):
         run = self._finished_run(tmp_path)
@@ -526,14 +599,13 @@ class TestInProgressReporting:
 
     def _half_finished_run(self, tmp_path):
         requests = _space(4).requests
-        run = _open_run(tmp_path, requests)
-        on_cell = _on_cell_for(run)
+        campaign = _campaign(tmp_path, requests)
         for request in requests[:2]:
             result = run_space(
                 ScenarioSpace.explicit("half", [request])
             ).results[0]
-            on_cell(request, result)
-        return run
+            campaign.on_cell(request, result)
+        return campaign.run_dir
 
     def test_report_json_flags_unfinalized_run(self, tmp_path):
         run = self._half_finished_run(tmp_path)

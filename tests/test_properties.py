@@ -7,9 +7,10 @@ exhaustive enumerations nail down specific (n, t) instances completely.
 
 from __future__ import annotations
 
+import json
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.consensus import FloodSet, FloodSetWS, check_uniform_consensus_run
 from repro.failures import FailurePattern, PerfectDetector, classify_history
@@ -295,15 +296,41 @@ def test_batch_cache_keys_equal_reference_encoder(requests):
     ]
 
 
+def _requests_over(*value_tuples):
+    """Otherwise-identical rounds requests, one per value tuple."""
+    from repro.rounds import FailureScenario
+    from repro.runtime import ExecutionRequest
+
+    return [
+        ExecutionRequest(
+            name="cell",
+            engine="rounds",
+            algorithm="floodset",
+            values=values,
+            model="RS",
+            scenario=FailureScenario.failure_free(len(values)),
+        )
+        for values in value_tuples
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(requests=st.lists(_request_strategy(), min_size=2, max_size=8))
+# 0 == False in Python, but the two cells decide different values.
+@example(requests=_requests_over((0, 0), (0, False)))
 def test_batch_cache_keys_injective_over_canonical_content(requests):
     """Equal keys imply equal canonical request content (and vice
     versa) — the dedupe-by-key merge in the serve coordinator is only
-    sound if a key collision cannot span distinct cells."""
+    sound if a key collision cannot span distinct cells.  Content is
+    compared as canonical JSON, which is type-exact where ``==`` on
+    ``to_dict()`` is not."""
     from repro.runtime.request import batch_cache_keys
 
     keys = batch_cache_keys(requests)
-    for i, a in enumerate(requests):
-        for j, b in enumerate(requests):
-            assert (keys[i] == keys[j]) == (a.to_dict() == b.to_dict())
+    canonical = [
+        json.dumps(request.to_dict(), sort_keys=True, default=repr)
+        for request in requests
+    ]
+    for i in range(len(requests)):
+        for j in range(len(requests)):
+            assert (keys[i] == keys[j]) == (canonical[i] == canonical[j])

@@ -154,6 +154,13 @@ class TestScenarioSpace:
             ScenarioSpace.explicit(
                 "dup", [_round_request("same"), _round_request("same")]
             )
+        # Every duplicated name is reported once, sorted.
+        names = ["z", "a", "ok", "z", "a", "z"]
+        with pytest.raises(ConfigurationError) as excinfo:
+            ScenarioSpace.explicit("dup", [_round_request(n) for n in names])
+        assert str(excinfo.value).endswith(
+            "has duplicate cell names: ['a', 'z']"
+        )
 
     def test_derived_seeds_are_stable_and_distinct(self):
         assert derived_seed(42, 0) == derived_seed(42, 0)

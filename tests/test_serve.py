@@ -214,7 +214,7 @@ class TestCoordinator:
             )
         done_before = len(first.merged)
         assert 0 < done_before < len(space.requests)
-        first.mark_interrupted()
+        first.campaign.interrupt()
         del first  # the "kill": no finalize, leases lost, state gone
 
         second = Coordinator(space, run_root=root, shard_size=2)
@@ -289,24 +289,17 @@ class TestCoordinator:
 
     def test_resume_interops_with_single_process_sweep_run_dir(self, tmp_path):
         """serve and ``sweep --run-dir`` share one content-addressed run."""
-        from repro.obs.artifacts import RunDir, identity_for_requests
-        from repro.runtime.cache import ResultCache
+        from repro.runtime.campaign import Campaign
         from repro.runtime.sweep import SweepRunner
 
         space = small_space()
         root = tmp_path / "runs"
         requests = list(space.requests)
-        run_dir = RunDir.open(
-            root,
-            kind="sweep",
-            name=space.name,
-            identity=identity_for_requests(requests),
-            cells=[(r.name, r.cache_key()) for r in requests],
-        )
-        SweepRunner(cache=ResultCache(run_dir.results_dir)).run(space)
+        solo = Campaign.open(root, kind="sweep", name=space.name, requests=requests)
+        SweepRunner(cache=solo.cache).run(space)
 
         coordinator = Coordinator(space, run_root=str(root))
-        assert coordinator.run_dir.path == run_dir.path
+        assert coordinator.run_dir.path == solo.run_dir.path
         assert coordinator.shards == []  # nothing left to do
         assert coordinator.claim("w1") == {"done": True}
         _, summary = coordinator.finalize()

@@ -316,9 +316,8 @@ class TestFallbackTelemetry:
         ]
 
     def test_sweep_summary_aggregates_fallback_reasons(self, tmp_path):
-        from repro.obs.artifacts import RunDir, identity_for_requests
         from repro.obs.report import render_report, summarize_sweep
-        from repro.runtime import ResultCache, ScenarioSpace, SweepRunner
+        from repro.runtime import Campaign, ScenarioSpace, SweepRunner
 
         requests = list(
             vectorized_space(space_by_name("e10-lambda")).requests[:3]
@@ -327,32 +326,26 @@ class TestFallbackTelemetry:
             _vector_request("fb-domain", values=(0, False, 1)),
         ]
         space = ScenarioSpace.explicit("vector-telemetry", requests)
-        run = RunDir.open(
+        campaign = Campaign.open(
             tmp_path / "runs",
             kind="sweep",
             name=space.name,
-            identity=identity_for_requests(requests),
-            cells=[(r.name, r.cache_key()) for r in requests],
+            requests=requests,
             config={"space": space.name},
         )
-
-        def on_cell(request, result):
-            run.record_cell(
-                name=request.name,
-                key=result.request_key,
-                cached=result.cached,
-                engine=request.engine,
-                algorithm=request.algorithm,
-                latency=result.latency,
-                num_rounds=result.num_rounds,
-                events=len(result.events),
+        with campaign:
+            sweep = SweepRunner(
+                cache=campaign.cache, on_cell=campaign.on_cell
+            ).run(space)
+            summary = campaign.finish(
+                lambda run: summarize_sweep(
+                    run,
+                    sweep,
+                    completed_before=campaign.completed_before,
+                    keys=campaign.keys,
+                )
             )
-
-        sweep = SweepRunner(
-            cache=ResultCache(run.results_dir), on_cell=on_cell
-        ).run(space)
-        summary = summarize_sweep(run, sweep, completed_before=set())
-        run.finalize(summary)
+        run = campaign.run_dir
 
         assert summary["vector"] == {
             "cells": 5,
@@ -368,24 +361,24 @@ class TestFallbackTelemetry:
         assert "2 object fallback(s)" in rendered
 
     def test_all_kernel_sweep_reports_zero_fallbacks(self, tmp_path):
-        from repro.obs.artifacts import RunDir, identity_for_requests
         from repro.obs.report import summarize_sweep
-        from repro.runtime import ScenarioSpace, SweepRunner
+        from repro.runtime import Campaign, ScenarioSpace, SweepRunner
 
         requests = list(
             vectorized_space(space_by_name("e10-lambda")).requests[:4]
         )
         space = ScenarioSpace.explicit("vector-clean", requests)
-        run = RunDir.open(
+        campaign = Campaign.open(
             tmp_path / "runs",
             kind="sweep",
             name=space.name,
-            identity=identity_for_requests(requests),
-            cells=[(r.name, r.cache_key()) for r in requests],
+            requests=requests,
             config={"space": space.name},
         )
         sweep = SweepRunner().run(space)
-        summary = summarize_sweep(run, sweep, completed_before=set())
+        summary = summarize_sweep(
+            campaign.run_dir, sweep, completed_before=set(), keys=campaign.keys
+        )
         assert summary["vector"]["kernel"] == 4
         assert summary["vector"]["fallbacks"] == {}
         assert summary["vector"]["fallback_cells"] == []
